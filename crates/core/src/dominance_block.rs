@@ -6,11 +6,12 @@
 //! its inner loop testing one candidate key against many window entries.
 //! The scalar path ([`crate::external`]'s `KeyWindow`, kept as the
 //! differential reference) walks entries row-at-a-time through
-//! [`dom_rel`], a branchy, short-circuiting loop. Here the window is
-//! stored struct-of-arrays in fixed blocks of [`BLOCK_LANES`] entries
+//! [`dom_rel`], a branchy, short-circuiting loop. Here the window is one
+//! contiguous arena of column-major blocks of [`BLOCK_LANES`] entries
 //! (keys are already *oriented* all-max by [`SkylineSpec::key_of`], so
 //! MIN criteria folded away at insert time), and each block carries two
-//! summaries that let a probe skip it wholesale:
+//! summaries, kept in flat side vectors, that let a probe skip it
+//! wholesale:
 //!
 //! * **Per-criterion maxima.** If the candidate strictly beats a block's
 //!   max on any criterion, no entry in the block can dominate *or equal*
@@ -32,17 +33,25 @@
 //! decided — and a NaN-keyed entry can neither dominate nor equal
 //! anything under [`dom_rel`] anyway.
 //!
-//! The batched kernels themselves are branch-free over the SoA columns:
-//! per-lane `u8` accumulators are folded criterion-by-criterion with `&=`
-//! / `|=` of comparison results, a shape LLVM autovectorizes. Model
-//! *comparisons* are still charged entry-at-a-time, up to and including
-//! the first decisive entry in window order — never more than the scalar
-//! kernel would charge — while [`ProbeCost::lanes`] records the physical
-//! lane work and [`ProbeCost::blocks_skipped`] the summary prunes.
+//! The batched kernel compares a whole sixteen-lane column at once: it
+//! folds `entry >= key` criterion by criterion into one `u16` lane
+//! bitmask (a shape LLVM autovectorizes), stops as soon as no lane is
+//! left, and `trailing_zeros` picks the first candidate lane; only that
+//! lane's strictness (`>` somewhere: dominator, not equal) is read back
+//! scalar; BNL victims are found the same way with `<=` / `<`. Nothing is
+//! allocated per block. Model *comparisons* are still charged
+//! entry-at-a-time, up to and including the first decisive entry in
+//! window order — never more than the scalar kernel would charge — while
+//! [`ProbeCost::lanes`] records the physical lane work and
+//! [`ProbeCost::blocks_skipped`] the summary prunes.
+//!
+//! [`dom_rel`]: crate::dominance::dom_rel
+//! [`SkylineSpec::key_of`]: crate::dominance::SkylineSpec::key_of
 
 /// Entries per block. Sixteen f64 lanes per criterion column = two cache
 /// lines, small enough that per-block summaries prune at fine grain and
-/// large enough that the lane loop vectorizes.
+/// large enough that the lane loop vectorizes; one `u16` holds a block's
+/// lane mask.
 pub const BLOCK_LANES: usize = 16;
 
 /// The oriented key sum — Theorem 4's positive linear scoring with unit
@@ -90,153 +99,200 @@ pub enum BlockVerdict {
     Incomparable,
 }
 
-/// One SoA block: `d` columns of [`BLOCK_LANES`] oriented values plus the
-/// pruning summaries. Unused lanes are padded with `-inf`, which can
-/// never dominate, equal, or raise a max.
-struct Block {
-    len: usize,
-    /// Column-major: criterion `c`, lane `l` at `cols[c * BLOCK_LANES + l]`.
-    cols: Vec<f64>,
-    /// Per-criterion maximum over the live lanes.
-    maxs: Vec<f64>,
-    /// Maximum [`key_score`] over the live lanes.
-    max_score: f64,
-    /// Minimum per-criterion / score bounds, maintained only by
-    /// [`ReplaceWindow`] (candidate-dominates-entry direction).
-    mins: Vec<f64>,
-    min_score: f64,
+/// Mask of the live lanes of a block holding `len` (1..=16) entries.
+#[inline]
+fn live(len: usize) -> u16 {
+    u16::MAX >> (BLOCK_LANES - len)
 }
 
-impl Block {
+/// The storage both window shapes share: every block in one contiguous
+/// column-major arena plus flat per-block summaries. Unused lanes of the
+/// tail block are padded with `-inf`, which can never dominate, equal,
+/// or raise a max; kernels run over full blocks and mask to live lanes.
+#[derive(Default)]
+struct Arena {
+    d: usize,
+    len: usize,
+    /// Block `b`, criterion `c`, lane `l` at `(b·d + c)·16 + l`.
+    cols: Vec<f64>,
+    /// Per-criterion maximum / minimum over block `b`'s live lanes, at
+    /// `b·d + c`.
+    maxs: Vec<f64>,
+    mins: Vec<f64>,
+    /// Maximum / minimum [`key_score`] over block `b`'s live lanes.
+    max_score: Vec<f64>,
+    min_score: Vec<f64>,
+}
+
+impl Arena {
     fn new(d: usize) -> Self {
-        Block {
-            len: 0,
-            cols: vec![f64::NEG_INFINITY; d * BLOCK_LANES],
-            maxs: vec![f64::NEG_INFINITY; d],
-            max_score: f64::NEG_INFINITY,
-            mins: vec![f64::INFINITY; d],
-            min_score: f64::INFINITY,
+        debug_assert!(d > 0);
+        Arena {
+            d,
+            ..Arena::default()
         }
     }
 
     #[inline]
-    fn push(&mut self, key: &[f64], score: f64) {
-        let lane = self.len;
-        debug_assert!(lane < BLOCK_LANES);
+    fn blocks(&self) -> usize {
+        self.max_score.len()
+    }
+
+    /// Live entries of block `b`.
+    #[inline]
+    fn block_len(&self, b: usize) -> usize {
+        (self.len - b * BLOCK_LANES).min(BLOCK_LANES)
+    }
+
+    /// Index of criterion `c` at global position `pos` in `cols`.
+    #[inline]
+    fn slot(&self, pos: usize, c: usize) -> usize {
+        ((pos / BLOCK_LANES) * self.d + c) * BLOCK_LANES + pos % BLOCK_LANES
+    }
+
+    /// Keep the first `blocks` blocks (entries beyond them must be gone).
+    fn truncate(&mut self, blocks: usize) {
+        self.cols.truncate(blocks * self.d * BLOCK_LANES);
+        self.maxs.truncate(blocks * self.d);
+        self.mins.truncate(blocks * self.d);
+        self.max_score.truncate(blocks);
+        self.min_score.truncate(blocks);
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.truncate(0);
+    }
+
+    fn push(&mut self, key: &[f64]) {
+        debug_assert_eq!(key.len(), self.d);
+        let (b, d) = (self.len / BLOCK_LANES, self.d);
+        if self.len.is_multiple_of(BLOCK_LANES) {
+            self.cols
+                .resize((b + 1) * d * BLOCK_LANES, f64::NEG_INFINITY);
+            self.maxs.resize((b + 1) * d, f64::NEG_INFINITY);
+            self.mins.resize((b + 1) * d, f64::INFINITY);
+            self.max_score.push(f64::NEG_INFINITY);
+            self.min_score.push(f64::INFINITY);
+        }
         for (c, &v) in key.iter().enumerate() {
-            self.cols[c * BLOCK_LANES + lane] = v;
-            if v > self.maxs[c] {
-                self.maxs[c] = v;
-            }
-            if v < self.mins[c] {
-                self.mins[c] = v;
-            }
-        }
-        if score > self.max_score {
-            self.max_score = score;
-        }
-        if score < self.min_score {
-            self.min_score = score;
+            let s = self.slot(self.len, c);
+            self.cols[s] = v;
         }
         self.len += 1;
+        self.summarize(self.len - 1);
     }
 
-    /// Key of lane `l` as a scratch-free per-criterion accessor.
-    #[inline]
-    fn lane(&self, l: usize, c: usize) -> f64 {
-        self.cols[c * BLOCK_LANES + l]
-    }
-
-    /// Can any entry here dominate or equal `key`? (Max-coordinate and
-    /// strict score screens; both conservative.)
-    #[inline]
-    fn may_beat(&self, key: &[f64], score: f64) -> bool {
-        if self.max_score < score {
-            return false;
-        }
-        for (c, &v) in key.iter().enumerate() {
-            if v > self.maxs[c] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Can any entry here be dominated by `key`? (Min-coordinate and
-    /// strict score screens, mirror image of [`Block::may_beat`].)
-    #[inline]
-    fn may_fall(&self, key: &[f64], score: f64) -> bool {
-        if self.min_score > score {
-            return false;
-        }
-        for (c, &v) in key.iter().enumerate() {
-            if v < self.mins[c] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The batched kernel: fold `entry >= key` / `entry > key` across all
-    /// criteria into per-lane accumulators. Branch-free over full blocks
-    /// (padding lanes yield `ge = 0`); callers only read lanes `< len`.
-    #[inline]
-    fn masks(&self, key: &[f64]) -> ([u8; BLOCK_LANES], [u8; BLOCK_LANES]) {
-        let mut ge = [1u8; BLOCK_LANES];
-        let mut gt = [0u8; BLOCK_LANES];
-        for (c, &kc) in key.iter().enumerate() {
-            let col = &self.cols[c * BLOCK_LANES..(c + 1) * BLOCK_LANES];
-            for ((&v, ge_l), gt_l) in col.iter().zip(ge.iter_mut()).zip(gt.iter_mut()) {
-                *ge_l &= u8::from(v >= kc);
-                *gt_l |= u8::from(v > kc);
-            }
-        }
-        (ge, gt)
-    }
-
-    /// Reverse-direction kernel: `entry <= key` / `entry < key` per lane.
-    #[inline]
-    fn rev_masks(&self, key: &[f64]) -> ([u8; BLOCK_LANES], [u8; BLOCK_LANES]) {
-        let mut le = [1u8; BLOCK_LANES];
-        let mut lt = [0u8; BLOCK_LANES];
-        for (c, &kc) in key.iter().enumerate() {
-            let col = &self.cols[c * BLOCK_LANES..(c + 1) * BLOCK_LANES];
-            for ((&v, le_l), lt_l) in col.iter().zip(le.iter_mut()).zip(lt.iter_mut()) {
-                *le_l &= u8::from(v <= kc);
-                *lt_l |= u8::from(v < kc);
-            }
-        }
-        (le, lt)
-    }
-
-    /// Recompute all summaries from the live lanes (after a removal).
-    fn rebuild_summaries(&mut self) {
-        let d = self.maxs.len();
-        self.max_score = f64::NEG_INFINITY;
-        self.min_score = f64::INFINITY;
+    /// Fold the entry at global position `pos` into its block's summaries.
+    fn summarize(&mut self, pos: usize) {
+        let (b, d) = (pos / BLOCK_LANES, self.d);
+        let mut score = 0.0;
         for c in 0..d {
-            self.maxs[c] = f64::NEG_INFINITY;
-            self.mins[c] = f64::INFINITY;
+            let v = self.cols[self.slot(pos, c)];
+            score += v;
+            self.maxs[b * d + c] = self.maxs[b * d + c].max(v);
+            self.mins[b * d + c] = self.mins[b * d + c].min(v);
         }
-        for l in 0..self.len {
-            let mut score = 0.0;
-            for c in 0..d {
-                let v = self.lane(l, c);
-                score += v;
-                if v > self.maxs[c] {
-                    self.maxs[c] = v;
-                }
-                if v < self.mins[c] {
-                    self.mins[c] = v;
-                }
+        self.max_score[b] = self.max_score[b].max(score);
+        self.min_score[b] = self.min_score[b].min(score);
+    }
+
+    /// Recompute block `b`'s summaries from its live lanes.
+    fn rebuild_summaries(&mut self, b: usize) {
+        let d = self.d;
+        self.max_score[b] = f64::NEG_INFINITY;
+        self.min_score[b] = f64::INFINITY;
+        self.maxs[b * d..][..d].fill(f64::NEG_INFINITY);
+        self.mins[b * d..][..d].fill(f64::INFINITY);
+        for l in 0..self.block_len(b) {
+            self.summarize(b * BLOCK_LANES + l);
+        }
+    }
+
+    /// `Vec::swap_remove` at global position `pos`: the last entry fills
+    /// the hole and the summaries of both touched blocks are rebuilt.
+    fn remove_at(&mut self, pos: usize) {
+        debug_assert!(pos < self.len);
+        let last = self.len - 1;
+        for c in 0..self.d {
+            let (hole, tail) = (self.slot(pos, c), self.slot(last, c));
+            self.cols[hole] = self.cols[tail];
+            // Shrink the tail: reset the vacated lane to padding.
+            self.cols[tail] = f64::NEG_INFINITY;
+        }
+        self.len -= 1;
+        let (pb, lb) = (pos / BLOCK_LANES, last / BLOCK_LANES);
+        if pb != lb {
+            self.rebuild_summaries(pb);
+        }
+        if last.is_multiple_of(BLOCK_LANES) {
+            self.truncate(lb);
+        } else {
+            self.rebuild_summaries(lb);
+        }
+    }
+
+    /// Can any entry of block `b` dominate or equal `key`? (Max-coordinate
+    /// and strict score screens; both conservative.)
+    #[inline]
+    fn may_beat(&self, b: usize, key: &[f64], score: f64) -> bool {
+        if self.max_score[b] < score {
+            return false;
+        }
+        let maxs = &self.maxs[b * self.d..][..self.d];
+        !key.iter().zip(maxs).any(|(&k, &m)| k > m)
+    }
+
+    /// Can any entry of block `b` be dominated by `key`? (Min-coordinate
+    /// and strict score screens, mirror image of [`Arena::may_beat`].)
+    #[inline]
+    fn may_fall(&self, b: usize, key: &[f64], score: f64) -> bool {
+        if self.min_score[b] > score {
+            return false;
+        }
+        let mins = &self.mins[b * self.d..][..self.d];
+        !key.iter().zip(mins).any(|(&k, &m)| k < m)
+    }
+
+    /// The batched kernel: fold `keep(entry[c], key[c])` across the
+    /// criteria of block `b` into a bitmask of its live lanes, one
+    /// sixteen-lane compare per criterion, stopping once no lane is left.
+    #[inline]
+    fn mask(&self, b: usize, key: &[f64], keep: impl Fn(f64, f64) -> bool) -> u16 {
+        let block = &self.cols[b * self.d * BLOCK_LANES..][..self.d * BLOCK_LANES];
+        let mut bits = live(self.block_len(b));
+        for (col, &k) in block.chunks_exact(BLOCK_LANES).zip(key) {
+            let mut m = 0u16;
+            for (l, &v) in col.iter().enumerate() {
+                m |= u16::from(keep(v, k)) << l;
             }
-            if score > self.max_score {
-                self.max_score = score;
-            }
-            if score < self.min_score {
-                self.min_score = score;
+            bits &= m;
+            if bits == 0 {
+                break;
             }
         }
+        bits
+    }
+
+    /// First lane of `hits` (a [`Arena::mask`] result) whose entry also
+    /// satisfies `strict` on some criterion, as a lane index.
+    #[inline]
+    fn first_strict(
+        &self,
+        b: usize,
+        mut hits: u16,
+        key: &[f64],
+        strict: impl Fn(f64, f64) -> bool,
+    ) -> Option<usize> {
+        while hits != 0 {
+            let l = hits.trailing_zeros() as usize;
+            let pos = b * BLOCK_LANES + l;
+            if (0..self.d).any(|c| strict(self.cols[self.slot(pos, c)], key[c])) {
+                return Some(l);
+            }
+            hits &= hits - 1;
+        }
+        None
     }
 }
 
@@ -246,10 +302,8 @@ impl Block {
 /// read-only arena of the parallel prefix merge via
 /// [`BlockWindow::probe_prefix`].
 pub struct BlockWindow {
-    d: usize,
-    len: usize,
+    arena: Arena,
     capacity: usize,
-    blocks: Vec<Block>,
     /// True while insertion scores have been non-increasing — the
     /// precondition for the Theorem-4 whole-tail cutoff.
     monotone: bool,
@@ -261,12 +315,9 @@ impl BlockWindow {
     /// `capacity` entries (use `usize::MAX` for unbounded in-memory use).
     #[must_use]
     pub fn new(d: usize, capacity: usize) -> Self {
-        debug_assert!(d > 0);
         BlockWindow {
-            d,
-            len: 0,
+            arena: Arena::new(d),
             capacity: capacity.max(1),
-            blocks: Vec::new(),
             monotone: true,
             last_score: f64::INFINITY,
         }
@@ -275,13 +326,13 @@ impl BlockWindow {
     /// Entries currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.arena.len
     }
 
     /// True when no entries are held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.arena.len == 0
     }
 
     /// Maximum entries this window may hold.
@@ -293,7 +344,7 @@ impl BlockWindow {
     /// True when at capacity.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.len >= self.capacity
+        self.arena.len >= self.capacity
     }
 
     /// Whether insertion scores have been non-increasing so far (the
@@ -303,30 +354,23 @@ impl BlockWindow {
         self.monotone
     }
 
-    /// Drop all entries (pass / DIFF-group boundary).
+    /// Drop all entries (pass / DIFF-group boundary). The arena keeps its
+    /// allocation for the next pass.
     pub fn clear(&mut self) {
-        self.blocks.clear();
-        self.len = 0;
+        self.arena.clear();
         self.monotone = true;
         self.last_score = f64::INFINITY;
     }
 
     /// Append a key. Caller must have checked [`BlockWindow::is_full`].
     pub fn insert(&mut self, key: &[f64]) {
-        debug_assert_eq!(key.len(), self.d);
         debug_assert!(!self.is_full());
         let score = key_score(key);
-        if self.len > 0 && score > self.last_score {
+        if self.arena.len > 0 && score > self.last_score {
             self.monotone = false;
         }
         self.last_score = score;
-        if self.len.is_multiple_of(BLOCK_LANES) {
-            self.blocks.push(Block::new(self.d));
-        }
-        if let Some(b) = self.blocks.last_mut() {
-            b.push(key, score);
-        }
-        self.len += 1;
+        self.arena.push(key);
     }
 
     /// Probe the window for a dominator or an equal key. Verdicts are
@@ -334,34 +378,36 @@ impl BlockWindow {
     /// window order decides (skipped blocks provably hold none).
     #[must_use]
     pub fn probe(&self, key: &[f64]) -> (BlockVerdict, ProbeCost) {
-        debug_assert_eq!(key.len(), self.d);
+        let a = &self.arena;
+        debug_assert_eq!(key.len(), a.d);
         let score = key_score(key);
         let mut cost = ProbeCost::default();
         let mut examined = 0u64;
-        for (bi, b) in self.blocks.iter().enumerate() {
+        for b in 0..a.blocks() {
             // Theorem-4 cutoff: with non-increasing insertion scores the
             // block max-scores are non-increasing, so the first block
             // strictly below the candidate ends the scan.
-            if self.monotone && b.max_score < score {
-                cost.blocks_skipped += (self.blocks.len() - bi) as u64;
+            if self.monotone && a.max_score[b] < score {
+                cost.blocks_skipped += (a.blocks() - b) as u64;
                 break;
             }
-            if !b.may_beat(key, score) {
+            if !a.may_beat(b, key, score) {
                 cost.blocks_skipped += 1;
                 continue;
             }
-            cost.lanes += b.len as u64;
-            let (ge, gt) = b.masks(key);
-            if let Some(l) = (0..b.len).find(|&l| ge[l] != 0) {
+            let len = a.block_len(b) as u64;
+            cost.lanes += len;
+            let ge = a.mask(b, key, |v, k| v >= k);
+            if ge != 0 {
+                let l = ge.trailing_zeros() as usize;
                 cost.comparisons = examined + l as u64 + 1;
-                let verdict = if gt[l] != 0 {
-                    BlockVerdict::Dominated
-                } else {
-                    BlockVerdict::Equal
+                let verdict = match a.first_strict(b, ge & (1 << l), key, |v, k| v > k) {
+                    Some(_) => BlockVerdict::Dominated,
+                    None => BlockVerdict::Equal,
                 };
                 return (verdict, cost);
             }
-            examined += b.len as u64;
+            examined += len;
         }
         cost.comparisons = examined;
         (BlockVerdict::Incomparable, cost)
@@ -373,30 +419,25 @@ impl BlockWindow {
     /// a superset bound, and its lanes are read only up to the prefix.
     #[must_use]
     pub fn probe_prefix(&self, key: &[f64], prefix: usize) -> (bool, ProbeCost) {
-        debug_assert_eq!(key.len(), self.d);
-        debug_assert!(prefix <= self.len);
+        let a = &self.arena;
+        debug_assert_eq!(key.len(), a.d);
+        debug_assert!(prefix <= a.len);
         let score = key_score(key);
         let mut cost = ProbeCost::default();
         let mut examined = 0u64;
-        let mut start = 0usize;
-        for b in &self.blocks {
-            if start >= prefix {
-                break;
-            }
-            let visible = (prefix - start).min(b.len);
-            if !b.may_beat(key, score) {
+        for b in 0..prefix.div_ceil(BLOCK_LANES) {
+            if !a.may_beat(b, key, score) {
                 cost.blocks_skipped += 1;
-                start += b.len;
                 continue;
             }
+            let visible = (prefix - b * BLOCK_LANES).min(BLOCK_LANES);
             cost.lanes += visible as u64;
-            let (ge, gt) = b.masks(key);
-            if let Some(l) = (0..visible).find(|&l| ge[l] != 0 && gt[l] != 0) {
+            let ge = a.mask(b, key, |v, k| v >= k) & live(visible);
+            if let Some(l) = a.first_strict(b, ge, key, |v, k| v > k) {
                 cost.comparisons = examined + l as u64 + 1;
                 return (true, cost);
             }
             examined += visible as u64;
-            start += b.len;
         }
         cost.comparisons = examined;
         (false, cost)
@@ -413,9 +454,7 @@ impl BlockWindow {
 /// mirror per-entry metadata in a `Vec` apply the reported positions with
 /// `Vec::swap_remove`, in order, to stay aligned.
 pub struct ReplaceWindow {
-    d: usize,
-    len: usize,
-    blocks: Vec<Block>,
+    arena: Arena,
 }
 
 impl ReplaceWindow {
@@ -423,75 +462,38 @@ impl ReplaceWindow {
     /// (capacity policy belongs to the caller, which also owns records).
     #[must_use]
     pub fn new(d: usize) -> Self {
-        debug_assert!(d > 0);
         ReplaceWindow {
-            d,
-            len: 0,
-            blocks: Vec::new(),
+            arena: Arena::new(d),
         }
     }
 
     /// Entries currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.arena.len
     }
 
     /// True when no entries are held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.arena.len == 0
     }
 
     /// Drop all entries.
     pub fn clear(&mut self) {
-        self.blocks.clear();
-        self.len = 0;
+        self.arena.clear();
     }
 
     /// Append a key (no capacity check — the caller owns that policy).
     pub fn push(&mut self, key: &[f64]) {
-        debug_assert_eq!(key.len(), self.d);
-        let score = key_score(key);
-        if self.len.is_multiple_of(BLOCK_LANES) {
-            self.blocks.push(Block::new(self.d));
-        }
-        if let Some(b) = self.blocks.last_mut() {
-            b.push(key, score);
-        }
-        self.len += 1;
+        self.arena.push(key);
     }
 
     /// Remove the entry at global position `pos` by moving the last entry
     /// into its place (`Vec::swap_remove` semantics). Summaries of the
     /// touched blocks are rebuilt exactly.
     pub fn remove_at(&mut self, pos: usize) {
-        debug_assert!(pos < self.len);
-        let last = self.len - 1;
-        let (last_b, last_l) = (last / BLOCK_LANES, last % BLOCK_LANES);
-        if pos != last {
-            let (pb, pl) = (pos / BLOCK_LANES, pos % BLOCK_LANES);
-            for c in 0..self.d {
-                let v = self.blocks[last_b].lane(last_l, c);
-                self.blocks[pb].cols[c * BLOCK_LANES + pl] = v;
-            }
-            if pb != last_b {
-                self.blocks[pb].rebuild_summaries();
-            }
-        }
-        // Shrink the tail: reset the vacated lane to padding.
-        if let Some(b) = self.blocks.last_mut() {
-            for c in 0..self.d {
-                b.cols[c * BLOCK_LANES + last_l] = f64::NEG_INFINITY;
-            }
-            b.len -= 1;
-            if b.len == 0 {
-                self.blocks.pop();
-            } else {
-                b.rebuild_summaries();
-            }
-        }
-        self.len -= 1;
+        self.arena.remove_at(pos);
     }
 
     /// Probe with replacement. Returns whether the candidate is dominated
@@ -505,51 +507,49 @@ impl ReplaceWindow {
     /// candidate dominates some entry" are mutually exclusive, and
     /// decision order cannot matter.
     pub fn probe_replace(&mut self, key: &[f64], removed: &mut Vec<usize>) -> (bool, ProbeCost) {
-        debug_assert_eq!(key.len(), self.d);
+        let a = &self.arena;
+        debug_assert_eq!(key.len(), a.d);
         removed.clear();
         let score = key_score(key);
         let mut cost = ProbeCost::default();
         let mut examined = 0u64;
-        let mut victims: Vec<usize> = Vec::new();
-        let mut start = 0usize;
-        for b in &self.blocks {
-            let beat = b.may_beat(key, score);
-            let fall = b.may_fall(key, score);
+        for b in 0..a.blocks() {
+            let beat = a.may_beat(b, key, score);
+            let fall = a.may_fall(b, key, score);
             if !beat && !fall {
                 cost.blocks_skipped += 1;
-                start += b.len;
                 continue;
             }
-            cost.lanes += b.len as u64;
+            let len = a.block_len(b) as u64;
+            cost.lanes += len;
             if beat {
-                let (ge, gt) = b.masks(key);
-                if let Some(l) = (0..b.len).find(|&l| ge[l] != 0 && gt[l] != 0) {
+                let ge = a.mask(b, key, |v, k| v >= k);
+                if let Some(l) = a.first_strict(b, ge, key, |v, k| v > k) {
                     // A dominator excludes victims window-wide (pairwise
                     // non-domination + transitivity), so nothing was or
                     // will be removed on this probe.
-                    debug_assert!(victims.is_empty());
+                    debug_assert!(removed.is_empty());
+                    removed.clear();
                     cost.comparisons = examined + l as u64 + 1;
                     return (true, cost);
                 }
             }
             if fall {
-                let (le, lt) = b.rev_masks(key);
-                for l in 0..b.len {
-                    if le[l] != 0 && lt[l] != 0 {
-                        victims.push(start + l);
-                    }
+                let mut le = a.mask(b, key, |v, k| v <= k);
+                while let Some(l) = a.first_strict(b, le, key, |v, k| v < k) {
+                    removed.push(b * BLOCK_LANES + l);
+                    le &= !(u16::MAX >> (BLOCK_LANES - 1 - l));
                 }
             }
-            examined += b.len as u64;
-            start += b.len;
+            examined += len;
         }
         cost.comparisons = examined;
         // Apply evictions highest-position-first: swap_remove only
         // disturbs the last position, so earlier victim positions stay
         // valid (and a victim at the very end is simply truncated).
-        for &pos in victims.iter().rev() {
-            self.remove_at(pos);
-            removed.push(pos);
+        removed.reverse();
+        for &pos in removed.iter() {
+            self.arena.remove_at(pos);
         }
         (false, cost)
     }
@@ -762,12 +762,7 @@ mod tests {
         // Final windows hold the same multiset of keys.
         let mut s = scalar.clone();
         s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let mut b: Vec<Vec<f64>> = (0..block.len())
-            .map(|p| {
-                let (bi, l) = (p / BLOCK_LANES, p % BLOCK_LANES);
-                (0..3).map(|c| block.blocks[bi].lane(l, c)).collect()
-            })
-            .collect();
+        let mut b: Vec<Vec<f64>> = (0..block.len()).map(|p| block.key_at(p)).collect();
         b.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         assert_eq!(b, s);
     }
@@ -814,13 +809,17 @@ mod tests {
         /// Test-only: simple dominator/equal probe (BNL verdict ignoring
         /// the replacement direction).
         fn probe(&self, key: &[f64]) -> (BlockVerdict, ProbeCost) {
-            let mut w = BlockWindow::new(self.d, usize::MAX);
-            for p in 0..self.len {
-                let (bi, l) = (p / BLOCK_LANES, p % BLOCK_LANES);
-                let key: Vec<f64> = (0..self.d).map(|c| self.blocks[bi].lane(l, c)).collect();
-                w.insert(&key);
+            let mut w = BlockWindow::new(self.arena.d, usize::MAX);
+            for p in 0..self.len() {
+                w.insert(&self.key_at(p));
             }
             w.probe(key)
+        }
+
+        /// Test-only: the key stored at global position `pos`.
+        fn key_at(&self, pos: usize) -> Vec<f64> {
+            let a = &self.arena;
+            (0..a.d).map(|c| a.cols[a.slot(pos, c)]).collect()
         }
     }
 
@@ -880,6 +879,236 @@ mod tests {
                 w.insert(r);
                 held += 1;
             }
+        }
+    }
+
+    /// Recompute every block summary from the live lanes and check the
+    /// arena's shape: one block per started run of 16 entries, `-inf`
+    /// padding past the tail, summaries exact.
+    fn assert_arena_exact(a: &Arena) {
+        let (d, blocks) = (a.d, a.len.div_ceil(BLOCK_LANES));
+        assert_eq!(a.blocks(), blocks, "block count");
+        assert_eq!(a.cols.len(), blocks * d * BLOCK_LANES, "arena length");
+        assert_eq!((a.maxs.len(), a.mins.len()), (blocks * d, blocks * d));
+        assert_eq!(a.min_score.len(), blocks);
+        for b in 0..blocks {
+            let live: Vec<Vec<f64>> = (b * BLOCK_LANES..(b * BLOCK_LANES + a.block_len(b)))
+                .map(|p| (0..d).map(|c| a.cols[a.slot(p, c)]).collect())
+                .collect();
+            for c in 0..d {
+                let col = live.iter().map(|k| k[c]);
+                assert_eq!(
+                    a.maxs[b * d + c],
+                    col.clone().fold(f64::NEG_INFINITY, f64::max)
+                );
+                assert_eq!(a.mins[b * d + c], col.fold(f64::INFINITY, f64::min));
+                for l in live.len()..BLOCK_LANES {
+                    let pad = a.cols[(b * d + c) * BLOCK_LANES + l];
+                    assert_eq!(pad, f64::NEG_INFINITY, "padding at block {b} lane {l}");
+                }
+            }
+            let scores = live.iter().map(|k| key_score(k));
+            assert_eq!(
+                a.max_score[b],
+                scores.clone().fold(f64::NEG_INFINITY, f64::max)
+            );
+            assert_eq!(a.min_score[b], scores.fold(f64::INFINITY, f64::min));
+        }
+    }
+
+    /// Seeded keys over a small integer domain (plenty of ties).
+    fn lcg_rows(n: usize, d: usize, seed: u64, domain: u32) -> Vec<Vec<f64>> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        f64::from((state >> 33) as u32 % domain)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Both window shapes against the scalar references on one stream:
+    /// SFS verdicts and charge bounds (presorted and unsorted), and BNL
+    /// verdicts plus position-exact swap-remove mirroring.
+    fn check_against_scalar(rows: &[Vec<f64>]) {
+        let d = rows[0].len();
+        let mut presorted = rows.to_vec();
+        presorted.sort_by(|a, b| key_score(b).total_cmp(&key_score(a)));
+        for stream in [&presorted, rows] {
+            let (mut w, mut held) = (BlockWindow::new(d, usize::MAX), Vec::new());
+            for key in stream.iter() {
+                let (v, cost) = w.probe(key);
+                let (sv, scmp) = scalar_probe(&held, key);
+                assert_eq!(v, sv, "d={d} key {key:?}");
+                assert!(cost.comparisons <= scmp && cost.lanes <= held.len() as u64);
+                if v != BlockVerdict::Dominated {
+                    w.insert(key);
+                    held.push(key.clone());
+                }
+            }
+            assert_arena_exact(&w.arena);
+        }
+        let (mut w, mut mirror, mut removed) = (ReplaceWindow::new(d), Vec::new(), Vec::new());
+        for key in rows {
+            let (dominated, _) = w.probe_replace(key, &mut removed);
+            let (sd, sremoved) = scalar_bnl_probe(&mut mirror.clone(), key);
+            assert_eq!(
+                (dominated, removed.len()),
+                (sd, sremoved.len()),
+                "d={d} {key:?}"
+            );
+            for &p in &removed {
+                mirror.swap_remove(p);
+            }
+            if !dominated {
+                w.push(key);
+                mirror.push(key.clone());
+            }
+            let held: Vec<Vec<f64>> = (0..w.len()).map(|p| w.key_at(p)).collect();
+            assert_eq!(held, mirror, "d={d}: positions must mirror swap_remove");
+        }
+        assert_arena_exact(&w.arena);
+    }
+
+    #[test]
+    fn arena_handles_one_and_sixteen_criteria() {
+        check_against_scalar(&lcg_rows(400, 1, 11, 50));
+        check_against_scalar(&lcg_rows(400, 16, 13, 3));
+        check_against_scalar(&lcg_rows(400, 16, 17, 1000));
+    }
+
+    /// `len` mutually incomparable entries `(i, len - i)`, all scoring
+    /// `len`, inserted in order (monotone: equal scores never rise).
+    fn diagonal(len: usize) -> BlockWindow {
+        let mut w = BlockWindow::new(2, len);
+        for i in 0..len {
+            w.insert(&[i as f64, (len - i) as f64]);
+        }
+        w
+    }
+
+    #[test]
+    fn window_lengths_around_block_boundaries() {
+        for len in [15, 16, 17, 31, 32, 33] {
+            let w = diagonal(len);
+            assert!(w.is_full() && w.is_monotone());
+            assert_arena_exact(&w.arena);
+            let rows: Vec<Vec<f64>> = (0..len).map(|i| vec![i as f64, (len - i) as f64]).collect();
+            for i in 0..len {
+                let (x, y) = (i as f64, (len - i) as f64);
+                // the entry itself, and a key only entry i dominates
+                for (key, want) in [
+                    ([x, y], BlockVerdict::Equal),
+                    ([x - 0.5, y - 0.5], BlockVerdict::Dominated),
+                ] {
+                    let (v, cost) = w.probe(&key);
+                    assert_eq!(v, want, "len {len} key {key:?}");
+                    assert_eq!(scalar_probe(&rows, &key).0, want);
+                    let tail = (len - i / BLOCK_LANES * BLOCK_LANES).min(BLOCK_LANES);
+                    assert_eq!(cost.lanes, tail as u64, "only entry {i}'s block is read");
+                    assert_eq!(cost.comparisons, (i % BLOCK_LANES) as u64 + 1);
+                }
+            }
+            // A key scoring above every entry: the cutoff skips all blocks.
+            let (v, cost) = w.probe(&[len as f64, len as f64]);
+            assert_eq!(v, BlockVerdict::Incomparable);
+            assert_eq!(cost.blocks_skipped, len.div_ceil(BLOCK_LANES) as u64);
+            assert_eq!((cost.lanes, cost.comparisons), (0, 0));
+        }
+    }
+
+    #[test]
+    fn probe_prefix_at_every_offset_of_a_partial_tail_block() {
+        let len = BLOCK_LANES + 7;
+        let w = diagonal(len);
+        for i in 0..len {
+            let (x, y) = (i as f64, (len - i) as f64);
+            for prefix in 0..=len {
+                let (hit, cost) = w.probe_prefix(&[x - 0.5, y - 0.5], prefix);
+                assert_eq!(hit, i < prefix, "entry {i} prefix {prefix}");
+                assert!(cost.lanes <= prefix as u64 && cost.comparisons <= prefix as u64);
+                if hit {
+                    assert_eq!(cost.comparisons, (i % BLOCK_LANES) as u64 + 1);
+                }
+                // an equal key never reads as dominated
+                assert!(!w.probe_prefix(&[x, y], prefix).0);
+            }
+        }
+    }
+
+    fn replace_from(rows: &[Vec<f64>]) -> ReplaceWindow {
+        let mut w = ReplaceWindow::new(rows[0].len());
+        for r in rows {
+            w.push(r);
+        }
+        w
+    }
+
+    #[test]
+    fn remove_at_hole_and_last_in_one_block() {
+        let rows = lcg_rows(10, 3, 5, 100);
+        let mut w = replace_from(&rows);
+        w.remove_at(3);
+        let mut mirror = rows.clone();
+        mirror.swap_remove(3);
+        assert_eq!(
+            (0..w.len()).map(|p| w.key_at(p)).collect::<Vec<_>>(),
+            mirror
+        );
+        assert_arena_exact(&w.arena);
+    }
+
+    #[test]
+    fn remove_at_last_lane_of_a_full_block() {
+        for (len, pos) in [(16, 15), (32, 31), (32, 4), (17, 16), (17, 5), (33, 20)] {
+            let rows = lcg_rows(len, 4, len as u64, 100);
+            let mut w = replace_from(&rows);
+            w.remove_at(pos);
+            let mut mirror = rows.clone();
+            mirror.swap_remove(pos);
+            let held: Vec<Vec<f64>> = (0..w.len()).map(|p| w.key_at(p)).collect();
+            assert_eq!(held, mirror, "len {len} pos {pos}");
+            assert_arena_exact(&w.arena);
+        }
+        // Draining a window block by block from the front ends empty.
+        let mut w = replace_from(&lcg_rows(40, 2, 3, 100));
+        while !w.is_empty() {
+            w.remove_at(0);
+            assert_arena_exact(&w.arena);
+        }
+    }
+
+    #[test]
+    fn repeated_clear_and_refill() {
+        let mut block = BlockWindow::new(3, 64);
+        let mut replace = ReplaceWindow::new(3);
+        for round in 0..4u64 {
+            let rows = lcg_rows(17 + 15 * round as usize, 3, round, 20);
+            block.clear();
+            replace.clear();
+            assert!(block.is_empty() && replace.is_empty() && block.is_monotone());
+            assert_arena_exact(&block.arena);
+            assert_arena_exact(&replace.arena);
+            let mut held: Vec<Vec<f64>> = Vec::new();
+            for key in &rows {
+                let (v, _) = block.probe(key);
+                assert_eq!(v, scalar_probe(&held, key).0, "round {round}");
+                if v != BlockVerdict::Dominated {
+                    block.insert(key);
+                    held.push(key.clone());
+                }
+                replace.push(key);
+            }
+            assert_arena_exact(&block.arena);
+            assert_arena_exact(&replace.arena);
+            let stored: Vec<Vec<f64>> = (0..replace.len()).map(|p| replace.key_at(p)).collect();
+            assert_eq!(stored, rows, "round {round}: refill starts at position 0");
         }
     }
 }

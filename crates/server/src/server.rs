@@ -438,8 +438,7 @@ fn worker_loop(shared: &Shared) {
                 Verdict::Failed => st.failed += 1,
             }
             st.pages_peak = st.pages_peak.max(pages_peak);
-            st.wall_ms += u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-            st.queue_wait_ms += u64::try_from(waited.as_millis()).unwrap_or(u64::MAX);
+            st.record_timing(started.elapsed(), waited);
         }
         // Publish the verdict only after the books are settled, so a
         // client that has seen its terminal message can trust the

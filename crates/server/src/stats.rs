@@ -14,6 +14,8 @@
 //! conserved hop by hop, and the server snapshot is the plain sum of
 //! its sessions — there is no second bookkeeping to drift.
 
+use std::time::Duration;
+
 /// Counters for one session (and, summed, for the whole server).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
@@ -36,11 +38,21 @@ pub struct SessionStats {
     /// Highest per-query quota-pool peak observed, in pages.
     pub pages_peak: usize,
     /// Total execution wall time across finished queries, in
-    /// milliseconds.
+    /// milliseconds, derived from a microsecond sum so sub-millisecond
+    /// queries still add up.
     pub wall_ms: u64,
     /// Total time finished queries spent waiting in the admission
-    /// queue, in milliseconds.
+    /// queue, in milliseconds, derived from a microsecond sum.
     pub queue_wait_ms: u64,
+    /// The microsecond accumulators `wall_ms` and `queue_wait_ms` are
+    /// derived from.
+    wall_us: u64,
+    queue_wait_us: u64,
+}
+
+/// Whole microseconds in `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 impl SessionStats {
@@ -63,8 +75,23 @@ impl SessionStats {
         self.failed += other.failed;
         self.in_flight += other.in_flight;
         self.pages_peak = self.pages_peak.max(other.pages_peak);
-        self.wall_ms += other.wall_ms;
-        self.queue_wait_ms += other.queue_wait_ms;
+        self.wall_us = self.wall_us.saturating_add(other.wall_us);
+        self.queue_wait_us = self.queue_wait_us.saturating_add(other.queue_wait_us);
+        self.derive_ms();
+    }
+
+    /// Charge one finished query's execution wall time and queue wait.
+    /// Sums stay in microseconds; the millisecond totals are re-derived
+    /// from them, never truncated per query.
+    pub fn record_timing(&mut self, wall: Duration, queue_wait: Duration) {
+        self.wall_us = self.wall_us.saturating_add(micros(wall));
+        self.queue_wait_us = self.queue_wait_us.saturating_add(micros(queue_wait));
+        self.derive_ms();
+    }
+
+    fn derive_ms(&mut self) {
+        self.wall_ms = self.wall_us / 1000;
+        self.queue_wait_ms = self.queue_wait_us / 1000;
     }
 }
 
@@ -92,8 +119,7 @@ mod tests {
             failed: 0,
             in_flight: 1,
             pages_peak: 64,
-            wall_ms: 10,
-            queue_wait_ms: 3,
+            ..SessionStats::default()
         };
         let b = SessionStats {
             submitted: 2,
@@ -109,6 +135,23 @@ mod tests {
         assert!(sum.conserved());
         assert_eq!(sum.submitted, 7);
         assert_eq!(sum.pages_peak, 128, "peak is a max, not a sum");
+    }
+
+    #[test]
+    fn sub_millisecond_timings_accumulate() {
+        let mut s = SessionStats::default();
+        for _ in 0..1_000 {
+            s.record_timing(Duration::from_micros(400), Duration::from_micros(400));
+        }
+        assert_eq!((s.wall_us, s.queue_wait_us), (400_000, 400_000));
+        assert_eq!((s.wall_ms, s.queue_wait_ms), (400, 400));
+        // Sessions sum in microseconds too: two 0.6 ms waits make 1 ms.
+        let mut a = SessionStats::default();
+        a.record_timing(Duration::ZERO, Duration::from_micros(600));
+        let mut total = SessionStats::default();
+        total.absorb(&a);
+        total.absorb(&a);
+        assert_eq!((a.queue_wait_ms, total.queue_wait_ms), (0, 1));
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //! mix, the batched [`BlockWindow`]/[`ReplaceWindow`] verdicts must equal
 //! the scalar [`dom_rel`] reference — and the model comparison charge of
 //! a batched probe must never exceed the scalar charge for the same
-//! probe (skipped blocks provably contain no decisive entry).
+//! probe (skipped blocks provably contain no decisive entry). A
+//! counter-freeze test pins the exact cost totals, survivor lists and
+//! eviction order of three seeded streams, so a kernel rewrite that
+//! moves any verdict or charge fails here.
 
-use skyline::core::dominance_block::{key_score, BlockVerdict, BlockWindow, ReplaceWindow};
+use skyline::core::dominance_block::{
+    key_score, BlockVerdict, BlockWindow, ProbeCost, ReplaceWindow,
+};
 use skyline::core::{dom_rel, Criterion, DomRel, SkylineSpec};
 use skyline::relation::gen::{Distribution, WorkloadSpec};
 use skyline::relation::RecordLayout;
@@ -103,9 +108,7 @@ fn scalar_probe(window: &[&Vec<f64>], key: &[f64]) -> (BlockVerdict, u64) {
 fn block_window_matches_scalar_verdicts_presorted() {
     grid(|rows, label| {
         let d = rows[0].len();
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| key_score(&rows[b]).total_cmp(&key_score(&rows[a])));
-
+        let order = score_order(rows);
         let mut block = BlockWindow::new(d, usize::MAX);
         let mut scalar: Vec<&Vec<f64>> = Vec::new();
         for &i in &order {
@@ -218,9 +221,7 @@ fn replace_window_matches_scalar_bnl() {
 fn prefix_probe_matches_scalar_prefix_scan() {
     grid(|rows, label| {
         let d = rows[0].len();
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| key_score(&rows[b]).total_cmp(&key_score(&rows[a])));
-        let sorted: Vec<&Vec<f64>> = order.iter().map(|&i| &rows[i]).collect();
+        let sorted: Vec<&Vec<f64>> = score_order(rows).iter().map(|&i| &rows[i]).collect();
 
         let mut arena = BlockWindow::new(d, usize::MAX);
         for key in &sorted {
@@ -235,4 +236,149 @@ fn prefix_probe_matches_scalar_prefix_scan() {
             assert_eq!(dominated, expect, "{label}: prefix {i}");
         }
     });
+}
+
+/// FNV-1a over a sequence of positions — a compact, order-sensitive
+/// fingerprint of a skyline index list or an eviction log.
+fn fnv(seq: impl IntoIterator<Item = usize>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in seq {
+        for b in (v as u64).to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Seeded key rows straight from the generator (generation order).
+fn seeded_rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+    WorkloadSpec::paper(n, seed)
+        .generate_keys(d)
+        .chunks_exact(d)
+        .map(<[f64]>::to_vec)
+        .collect()
+}
+
+/// Row indices in score-descending order (stable: ties keep index order).
+fn score_order(rows: &[Vec<f64>]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| key_score(&rows[b]).total_cmp(&key_score(&rows[a])));
+    order
+}
+
+/// Presorted SFS over `order`: survivors in window order plus the summed
+/// probe cost.
+fn sfs_run(rows: &[Vec<f64>], order: &[usize]) -> (Vec<usize>, ProbeCost) {
+    let mut window = BlockWindow::new(rows[0].len(), usize::MAX);
+    let (mut survivors, mut total) = (Vec::new(), ProbeCost::default());
+    for &i in order {
+        let (verdict, cost) = window.probe(&rows[i]);
+        total.absorb(cost);
+        if !matches!(verdict, BlockVerdict::Dominated) {
+            window.insert(&rows[i]);
+            survivors.push(i);
+        }
+    }
+    (survivors, total)
+}
+
+fn cost_of(comparisons: u64, lanes: u64, blocks_skipped: u64) -> ProbeCost {
+    ProbeCost {
+        comparisons,
+        lanes,
+        blocks_skipped,
+    }
+}
+
+/// Counter freeze: the exact model and machine counters, survivor lists
+/// and eviction order of three fixed seeded streams. The values were
+/// recorded on the per-block-allocation kernel this module replaced; any
+/// layout or mask change must reproduce them bit for bit, which is the
+/// proof that no verdict and no charge moved.
+#[test]
+fn kernel_counters_are_frozen_on_seeded_streams() {
+    // 20k × d7 presorted SFS: the Theorem-4 cutoff armed throughout.
+    let rows = seeded_rows(20_000, 7, 2003);
+    let (sky, cost) = sfs_run(&rows, &score_order(&rows));
+    let got = (sky.len(), fnv(sky.iter().copied()), cost);
+    let want = (
+        2_233,
+        12_198_929_163_625_818_872,
+        cost_of(1_437_707, 1_662_933, 84_811),
+    );
+    assert_eq!(got, want, "presorted SFS drifted");
+
+    // Unsorted BNL (generation order) on 5k × d5: evictions exercised.
+    let rows5 = seeded_rows(5_000, 5, 7);
+    let mut window = ReplaceWindow::new(5);
+    let (mut kept, mut removed, mut log) = (Vec::new(), Vec::new(), Vec::new());
+    let mut bnl_cost = ProbeCost::default();
+    for (i, key) in rows5.iter().enumerate() {
+        let (dominated, cost) = window.probe_replace(key, &mut removed);
+        bnl_cost.absorb(cost);
+        for &p in &removed {
+            kept.swap_remove(p);
+            log.push(p);
+        }
+        if !dominated {
+            window.push(key);
+            kept.push(i);
+        }
+    }
+    let got = (
+        kept.len(),
+        fnv(kept.iter().copied()),
+        log.len(),
+        fnv(log),
+        bnl_cost,
+    );
+    let want = (
+        378,
+        7_485_661_815_508_252_492,
+        346,
+        16_619_833_275_441_359_806,
+        cost_of(214_245, 259_513, 1_425),
+    );
+    assert_eq!(got, want, "unsorted BNL drifted");
+
+    // Prefix merge: the two halves' local skylines, unioned and sorted
+    // by score, each entry probed against its prefix of one shared arena.
+    let (lo, hi) = rows.split_at(10_000);
+    let mut union: Vec<usize> = sfs_run(lo, &score_order(lo)).0;
+    union.extend(sfs_run(hi, &score_order(hi)).0.iter().map(|&i| i + 10_000));
+    union.sort_by(|&a, &b| {
+        key_score(&rows[b])
+            .total_cmp(&key_score(&rows[a]))
+            .then(a.cmp(&b))
+    });
+    let mut arena = BlockWindow::new(7, union.len());
+    for &i in &union {
+        arena.insert(&rows[i]);
+    }
+    let (mut alive, mut merge_cost) = (Vec::new(), ProbeCost::default());
+    for (p, &i) in union.iter().enumerate() {
+        let (dominated, cost) = arena.probe_prefix(&rows[i], p);
+        merge_cost.absorb(cost);
+        if !dominated {
+            alive.push(i);
+        }
+    }
+    let got = (
+        union.len(),
+        alive.len(),
+        fnv(alive.iter().copied()),
+        merge_cost,
+    );
+    let want = (
+        3_007,
+        2_233,
+        12_198_929_163_625_818_872,
+        cost_of(1_424_205, 1_430_801, 104_987),
+    );
+    assert_eq!(got, want, "prefix merge drifted");
+    let mut merged = alive.clone();
+    merged.sort_unstable();
+    let mut direct = sky.clone();
+    direct.sort_unstable();
+    assert_eq!(merged, direct, "prefix merge must reproduce the skyline");
 }
