@@ -160,6 +160,27 @@ impl SkylineSpec {
         }
     }
 
+    /// Run `f` on the oriented key of `record` — the values
+    /// [`Self::key_of`] extracts — built on the stack when the spec has
+    /// at most [`INLINE_DIMS`] criteria, so per-record comparator calls
+    /// allocate nothing.
+    #[inline]
+    pub fn with_key<R>(
+        &self,
+        layout: &RecordLayout,
+        record: &[u8],
+        f: impl FnOnce(&[f64]) -> R,
+    ) -> R {
+        with_key(
+            self.dims(),
+            |j| {
+                let c = &self.criteria[j];
+                c.orient(f64::from(layout.attr(record, c.attr)))
+            },
+            f,
+        )
+    }
+
     /// Extract the DIFF group key of a record into `out` (cleared first).
     #[inline]
     pub fn diff_key_of(&self, layout: &RecordLayout, record: &[u8], out: &mut Vec<i32>) {
@@ -176,6 +197,32 @@ impl SkylineSpec {
         for (v, c) in row.iter_mut().zip(&self.criteria) {
             *v = c.orient(*v);
         }
+    }
+}
+
+/// Key widths up to this many dimensions are built on the stack by
+/// [`with_key`]; wider keys fall back to one heap buffer per call.
+pub const INLINE_DIMS: usize = 16;
+
+/// Build a `d`-dimensional key from `value(j)` for `j` in `0..d` and run
+/// `f` on it. Keys of at most [`INLINE_DIMS`] dimensions live in a stack
+/// array, so sort comparators that extract two keys per call stay
+/// allocation-free at every width the paper measures.
+#[inline]
+pub fn with_key<R>(
+    d: usize,
+    mut value: impl FnMut(usize) -> f64,
+    f: impl FnOnce(&[f64]) -> R,
+) -> R {
+    if d <= INLINE_DIMS {
+        let mut buf = [0.0; INLINE_DIMS];
+        for (j, slot) in buf[..d].iter_mut().enumerate() {
+            *slot = value(j);
+        }
+        f(&buf[..d])
+    } else {
+        let key: Vec<f64> = (0..d).map(value).collect();
+        f(&key)
     }
 }
 

@@ -194,18 +194,6 @@ impl SkylineOrderCmp {
         }
     }
 
-    #[inline]
-    fn keys(&self, a: &[u8], b: &[u8]) -> (Vec<f64>, Vec<f64>) {
-        // Sort comparators are called concurrently per merge; keeping this
-        // simple (two tiny Vecs per comparison) measured fine; the sort is
-        // dominated by run I/O and the filter phase by dominance tests.
-        let mut ka = Vec::with_capacity(self.spec.dims());
-        let mut kb = Vec::with_capacity(self.spec.dims());
-        self.spec.key_of(&self.layout, a, &mut ka);
-        self.spec.key_of(&self.layout, b, &mut kb);
-        (ka, kb)
-    }
-
     /// Compare records *within* one diff group (or when no diff attrs).
     fn cmp_in_group(&self, ka: &[f64], kb: &[f64]) -> Ordering {
         match self.order {
@@ -239,17 +227,18 @@ impl RecordComparator for SkylineOrderCmp {
         if !self.spec.diff.is_empty() {
             return None;
         }
-        let mut key = Vec::with_capacity(self.spec.dims());
-        self.spec.key_of(&self.layout, record, &mut key);
-        Some(match self.order {
-            SortOrder::Nested => f64_descending_bits(key[0]),
-            SortOrder::Entropy => {
-                f64_descending_bits(self.entropy.as_ref().expect("checked in new").score(&key))
-            }
-            SortOrder::ReverseEntropy => {
-                f64_ascending_bits(self.entropy.as_ref().expect("checked in new").score(&key))
-            }
-        })
+        Some(
+            self.spec
+                .with_key(&self.layout, record, |key| match self.order {
+                    SortOrder::Nested => f64_descending_bits(key[0]),
+                    SortOrder::Entropy => f64_descending_bits(
+                        self.entropy.as_ref().expect("checked in new").score(key),
+                    ),
+                    SortOrder::ReverseEntropy => f64_ascending_bits(
+                        self.entropy.as_ref().expect("checked in new").score(key),
+                    ),
+                }),
+        )
     }
 
     fn cmp(&self, a: &[u8], b: &[u8]) -> Ordering {
@@ -262,8 +251,10 @@ impl RecordComparator for SkylineOrderCmp {
                 other => return other,
             }
         }
-        let (ka, kb) = self.keys(a, b);
-        self.cmp_in_group(&ka, &kb)
+        self.spec.with_key(&self.layout, a, |ka| {
+            self.spec
+                .with_key(&self.layout, b, |kb| self.cmp_in_group(ka, kb))
+        })
     }
 }
 
@@ -300,22 +291,20 @@ impl RecordComparator for PreferenceCmp {
         if !self.spec.diff.is_empty() {
             return None;
         }
-        let mut key = Vec::with_capacity(self.spec.dims());
-        self.spec.key_of(&self.layout, record, &mut key);
-        Some(skyline_exec::sort::f64_descending_bits(
-            self.score.score(&key),
-        ))
+        Some(self.spec.with_key(&self.layout, record, |key| {
+            skyline_exec::sort::f64_descending_bits(self.score.score(key))
+        }))
     }
 
     fn cmp(&self, a: &[u8], b: &[u8]) -> Ordering {
-        let mut ka = Vec::with_capacity(self.spec.dims());
-        let mut kb = Vec::with_capacity(self.spec.dims());
-        self.spec.key_of(&self.layout, a, &mut ka);
-        self.spec.key_of(&self.layout, b, &mut kb);
-        let (sa, sb) = (self.score.score(&ka), self.score.score(&kb));
-        sb.partial_cmp(&sa)
-            .expect("scores are never NaN")
-            .then_with(|| nested_desc(&ka, &kb))
+        self.spec.with_key(&self.layout, a, |ka| {
+            self.spec.with_key(&self.layout, b, |kb| {
+                let (sa, sb) = (self.score.score(ka), self.score.score(kb));
+                sb.partial_cmp(&sa)
+                    .expect("scores are never NaN")
+                    .then_with(|| nested_desc(ka, kb))
+            })
+        })
     }
 }
 

@@ -759,12 +759,11 @@ impl KWayMerge {
         if self.heap.is_empty() {
             return Ok(None);
         }
-        // Move the minimum out, refill from its scanner, restore the heap.
-        let (bytes, idx) = {
-            let top = &mut self.heap[0];
-            (std::mem::take(&mut top.1), top.2)
-        };
-        self.out = bytes;
+        // Swap the minimum's buffer with the output buffer (the previous
+        // output's allocation becomes the top's refill buffer), refill
+        // from its scanner, restore the heap.
+        std::mem::swap(&mut self.out, &mut self.heap[0].1);
+        let idx = self.heap[0].2;
         match self.scanners[idx].next_record()? {
             Some(r) => {
                 let top = &mut self.heap[0];

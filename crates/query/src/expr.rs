@@ -7,71 +7,119 @@ use crate::error::QueryError;
 use skyline_relation::{Schema, Tuple, Value};
 use std::cmp::Ordering;
 
-/// Resolve all column references in `expr` to indices; fails fast on
-/// unknown columns so execution can't panic later.
+/// A predicate with every column reference resolved to its position in
+/// the schema it was validated against. WHERE and HAVING evaluate this
+/// form per row, so no row pays a by-name column lookup.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Predicate {
+    /// Comparison of two operands.
+    Cmp {
+        /// Left operand.
+        left: Operand,
+        /// Operator.
+        op: CmpOp,
+        /// Right operand.
+        right: Operand,
+    },
+    /// Conjunction.
+    And(Box<Predicate>, Box<Predicate>),
+    /// Disjunction.
+    Or(Box<Predicate>, Box<Predicate>),
+    /// Negation.
+    Not(Box<Predicate>),
+}
+
+/// One side of a bound comparison.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Operand {
+    /// The value at this column position.
+    Column(usize),
+    /// A constant.
+    Literal(Value),
+}
+
+/// Resolve all column references in `expr` to indices, returning the
+/// bound predicate; fails fast on unknown columns so execution can't
+/// panic later.
 ///
 /// # Errors
-/// [`QueryError::NoSuchColumn`] for any reference not in `schema`.
-pub fn validate(expr: &Expr, schema: &Schema) -> Result<(), QueryError> {
+/// [`QueryError::NoSuchColumn`] for any reference not in `schema`;
+/// [`QueryError::Semantic`] for a bare operand in predicate position or
+/// a nested predicate in operand position (shapes the parser never
+/// builds).
+pub fn validate(expr: &Expr, schema: &Schema) -> Result<Predicate, QueryError> {
+    Ok(match expr {
+        Expr::Cmp { left, op, right } => Predicate::Cmp {
+            left: bind_operand(left, schema)?,
+            op: *op,
+            right: bind_operand(right, schema)?,
+        },
+        Expr::And(a, b) => Predicate::And(
+            Box::new(validate(a, schema)?),
+            Box::new(validate(b, schema)?),
+        ),
+        Expr::Or(a, b) => Predicate::Or(
+            Box::new(validate(a, schema)?),
+            Box::new(validate(b, schema)?),
+        ),
+        Expr::Not(e) => Predicate::Not(Box::new(validate(e, schema)?)),
+        Expr::Column(_) | Expr::Literal(_) => {
+            return Err(QueryError::Semantic(
+                "a bare operand is not a predicate".into(),
+            ))
+        }
+    })
+}
+
+fn bind_operand(expr: &Expr, schema: &Schema) -> Result<Operand, QueryError> {
     match expr {
         Expr::Column(name) => schema
             .index_of(name)
-            .map(|_| ())
+            .map(Operand::Column)
             .ok_or_else(|| QueryError::NoSuchColumn(name.clone())),
-        Expr::Literal(_) => Ok(()),
-        Expr::Cmp { left, right, .. } => {
-            validate(left, schema)?;
-            validate(right, schema)
-        }
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            validate(a, schema)?;
-            validate(b, schema)
-        }
-        Expr::Not(e) => validate(e, schema),
+        Expr::Literal(v) => Ok(Operand::Literal(v.clone())),
+        _ => Err(QueryError::Semantic(
+            "comparison operands are columns or literals".into(),
+        )),
     }
 }
 
-fn operand_value<'a>(expr: &'a Expr, schema: &Schema, row: &'a Tuple) -> &'a Value {
-    match expr {
-        Expr::Column(name) => {
-            let idx = schema.index_of(name).expect("validated before eval");
-            row.get(idx)
+impl Operand {
+    #[inline]
+    fn value<'a>(&'a self, row: &'a Tuple) -> &'a Value {
+        match self {
+            Operand::Column(idx) => row.get(*idx),
+            Operand::Literal(v) => v,
         }
-        Expr::Literal(v) => v,
-        _ => unreachable!("operands are columns or literals"),
     }
 }
 
-/// Evaluate a (validated) predicate against one row.
-///
-/// # Panics
-/// On an expression that [`validate`] would reject: an unresolved
-/// column reference, or a bare operand used as a predicate.
-pub fn eval(expr: &Expr, schema: &Schema, row: &Tuple) -> bool {
-    match expr {
-        Expr::Cmp { left, op, right } => {
-            let l = operand_value(left, schema, row);
-            let r = operand_value(right, schema, row);
-            if l.is_null() || r.is_null() {
-                return false; // SQL UNKNOWN → filtered out
+impl Predicate {
+    /// Evaluate against one row of the schema the predicate was bound
+    /// to (three-valued logic collapsed to two, see the module docs).
+    pub fn eval(&self, row: &Tuple) -> bool {
+        match self {
+            Predicate::Cmp { left, op, right } => {
+                let l = left.value(row);
+                let r = right.value(row);
+                if l.is_null() || r.is_null() {
+                    return false; // SQL UNKNOWN → filtered out
+                }
+                match l.sql_cmp(r) {
+                    None => false,
+                    Some(ord) => match op {
+                        CmpOp::Eq => ord == Ordering::Equal,
+                        CmpOp::Ne => ord != Ordering::Equal,
+                        CmpOp::Lt => ord == Ordering::Less,
+                        CmpOp::Le => ord != Ordering::Greater,
+                        CmpOp::Gt => ord == Ordering::Greater,
+                        CmpOp::Ge => ord != Ordering::Less,
+                    },
+                }
             }
-            match l.sql_cmp(r) {
-                None => false,
-                Some(ord) => match op {
-                    CmpOp::Eq => ord == Ordering::Equal,
-                    CmpOp::Ne => ord != Ordering::Equal,
-                    CmpOp::Lt => ord == Ordering::Less,
-                    CmpOp::Le => ord != Ordering::Greater,
-                    CmpOp::Gt => ord == Ordering::Greater,
-                    CmpOp::Ge => ord != Ordering::Less,
-                },
-            }
-        }
-        Expr::And(a, b) => eval(a, schema, row) && eval(b, schema, row),
-        Expr::Or(a, b) => eval(a, schema, row) || eval(b, schema, row),
-        Expr::Not(e) => !eval(e, schema, row),
-        Expr::Column(_) | Expr::Literal(_) => {
-            unreachable!("bare operands are not predicates")
+            Predicate::And(a, b) => a.eval(row) && b.eval(row),
+            Predicate::Or(a, b) => a.eval(row) || b.eval(row),
+            Predicate::Not(e) => !e.eval(row),
         }
     }
 }
@@ -92,12 +140,11 @@ mod tests {
     #[test]
     fn numeric_comparisons() {
         let t = good_eats();
-        let e = pred("price < 50");
-        validate(&e, t.schema()).unwrap();
+        let e = validate(&pred("price < 50"), t.schema()).unwrap();
         let matches: Vec<&str> = t
             .rows()
             .iter()
-            .filter(|r| eval(&e, t.schema(), r))
+            .filter(|r| e.eval(r))
             .map(|r| r.get(0).as_str().unwrap())
             .collect();
         assert_eq!(
@@ -109,12 +156,15 @@ mod tests {
     #[test]
     fn string_equality_and_boolean_ops() {
         let t = good_eats();
-        let e = pred("restaurant = 'Zakopane' OR (S >= 21 AND NOT price > 50)");
-        validate(&e, t.schema()).unwrap();
+        let e = validate(
+            &pred("restaurant = 'Zakopane' OR (S >= 21 AND NOT price > 50)"),
+            t.schema(),
+        )
+        .unwrap();
         let matches: Vec<&str> = t
             .rows()
             .iter()
-            .filter(|r| eval(&e, t.schema(), r))
+            .filter(|r| e.eval(r))
             .map(|r| r.get(0).as_str().unwrap())
             .collect();
         // Zakopane by name; Summer Moon via S=21 & price 47.5
@@ -132,22 +182,37 @@ mod tests {
     }
 
     #[test]
+    fn columns_bind_to_positions_case_insensitively() {
+        let t = good_eats();
+        let price = t.schema().index_of("price").unwrap();
+        assert_eq!(
+            validate(&pred("PRICE < 50"), t.schema()).unwrap(),
+            Predicate::Cmp {
+                left: Operand::Column(price),
+                op: CmpOp::Lt,
+                right: Operand::Literal(Value::Int(50)),
+            }
+        );
+    }
+
+    #[test]
     fn null_comparisons_are_false() {
         use skyline_relation::{Column, ColumnType, Tuple, Value};
         let schema = Schema::new(vec![Column::new("a", ColumnType::Int)]).unwrap();
         let row = Tuple::new(vec![Value::Null]);
         for text in ["a = 1", "a <> 1", "a < 1", "a >= 1"] {
-            assert!(!eval(&pred(text), &schema, &row), "{text}");
+            let p = validate(&pred(text), &schema).unwrap();
+            assert!(!p.eval(&row), "{text}");
         }
         // NOT (a = 1) is true under our two-valued collapse
-        assert!(eval(&pred("NOT a = 1"), &schema, &row));
+        let p = validate(&pred("NOT a = 1"), &schema).unwrap();
+        assert!(p.eval(&row));
     }
 
     #[test]
     fn cross_type_comparison_is_false() {
         let t = good_eats();
-        let e = pred("restaurant < 5");
-        validate(&e, t.schema()).unwrap();
-        assert!(!t.rows().iter().any(|r| eval(&e, t.schema(), r)));
+        let e = validate(&pred("restaurant < 5"), t.schema()).unwrap();
+        assert!(!t.rows().iter().any(|r| e.eval(r)));
     }
 }

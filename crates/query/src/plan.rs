@@ -57,6 +57,12 @@ pub fn execute_query(query: &Query, catalog: &Catalog) -> Result<Table, QueryErr
 /// the quota pool, polls the cancel token, and spills to the contract's
 /// disk (see [`ExecOptions`]).
 ///
+/// Execution is late-materialized: WHERE, SKYLINE OF, ORDER BY and
+/// LIMIT narrow a selection of row indices into the catalog's rows,
+/// which are borrowed, never copied; output rows are built once, at the
+/// end. GROUP BY produces its own rows, and the selection then indexes
+/// those.
+///
 /// # Errors
 /// Everything [`execute_query`] reports, plus the contract errors:
 /// [`QueryError::QuotaExceeded`] and [`QueryError::Cancelled`].
@@ -73,19 +79,14 @@ pub fn execute_query_with(
         .get(&query.from)
         .ok_or_else(|| QueryError::NoSuchTable(query.from.clone()))?;
 
-    // Filter
-    let mut schema = table.schema().clone();
-    let mut rows: Vec<Tuple> = match &query.where_clause {
+    // Filter: the selection starts as every row WHERE keeps, ascending.
+    let mut sel: Vec<usize> = match &query.where_clause {
         Some(pred) => {
-            expr::validate(pred, &schema)?;
-            table
-                .rows()
-                .iter()
-                .filter(|r| expr::eval(pred, &schema, r))
-                .cloned()
-                .collect()
+            let pred = expr::validate(pred, table.schema())?;
+            let rows = table.rows();
+            (0..rows.len()).filter(|&i| pred.eval(&rows[i])).collect()
         }
-        None => table.rows().to_vec(),
+        None => (0..table.len()).collect(),
     };
 
     // Group by / aggregate (the paper's Fig. 8 pre-pass shape). The
@@ -96,25 +97,33 @@ pub fn execute_query_with(
         .iter()
         .any(|i| matches!(i, SelectItem::Aggregate { .. }));
     let grouped = !query.group_by.is_empty() || has_agg;
-    if grouped {
-        (schema, rows) = apply_group_by(&schema, rows, query)?;
-    }
+    let group_rel = if grouped {
+        let rel = apply_group_by(table.schema(), table.rows(), &sel, query)?;
+        sel = (0..rel.1.len()).collect();
+        Some(rel)
+    } else {
+        None
+    };
+    let (schema, rows) = match &group_rel {
+        Some((schema, rows)) => (schema, rows.as_slice()),
+        None => (table.schema(), table.rows()),
+    };
     if let Some(having) = &query.having {
         if !grouped {
             return Err(QueryError::Semantic(
                 "HAVING requires GROUP BY or aggregates".into(),
             ));
         }
-        expr::validate(having, &schema)?;
-        rows.retain(|r| expr::eval(having, &schema, r));
+        let having = expr::validate(having, schema)?;
+        sel.retain(|&i| having.eval(&rows[i]));
     }
 
     // Skyline (over the possibly-grouped relation)
     if let Some(clause) = &query.skyline {
-        rows = apply_skyline(rows, &schema, clause, opts)?;
+        sel = apply_skyline(rows, &sel, schema, clause, opts)?;
     }
 
-    // Order by
+    // Order by (stable, so ties keep selection order)
     if !query.order_by.is_empty() {
         let mut keys = Vec::with_capacity(query.order_by.len());
         for item in &query.order_by {
@@ -123,7 +132,8 @@ pub fn execute_query_with(
                 .ok_or_else(|| QueryError::NoSuchColumn(item.column.clone()))?;
             keys.push((idx, item.desc));
         }
-        rows.sort_by(|a, b| {
+        sel.sort_by(|&a, &b| {
+            let (a, b) = (&rows[a], &rows[b]);
             for &(idx, desc) in &keys {
                 let ord = a.get(idx).sql_cmp(b.get(idx)).unwrap_or(Ordering::Equal);
                 let ord = if desc { ord.reverse() } else { ord };
@@ -137,42 +147,58 @@ pub fn execute_query_with(
 
     // Limit
     if let Some(n) = query.limit {
-        rows.truncate(n as usize);
+        sel.truncate(n as usize);
     }
 
-    // Project (grouping already produced the output shape)
-    if query.select.is_empty() || grouped {
-        Table::new(schema, rows).map_err(|e| QueryError::Semantic(e.to_string()))
-    } else {
-        let mut indices = Vec::with_capacity(query.select.len());
-        let mut out_cols = Vec::with_capacity(query.select.len());
-        for item in &query.select {
-            let SelectItem::Column { name, .. } = item else {
-                unreachable!("aggregates imply grouping");
-            };
-            let idx = schema
-                .index_of(name)
-                .ok_or_else(|| QueryError::NoSuchColumn(name.clone()))?;
-            indices.push(idx);
-            out_cols.push(skyline_relation::Column::new(
-                item.output_name(),
-                schema.column(idx).ty,
-            ));
-        }
-        let out_schema = skyline_relation::Schema::new(out_cols)
-            .map_err(|e| QueryError::Semantic(e.to_string()))?;
-        let out_rows: Vec<Tuple> = rows.iter().map(|r| r.project(&indices)).collect();
-        Table::new(out_schema, out_rows).map_err(|e| QueryError::Semantic(e.to_string()))
-    }
+    // Materialize: the only place output rows are built. Grouping
+    // already produced the output shape, so its selected rows move out.
+    let Some((schema, mut rows)) = group_rel else {
+        return materialize(table, &sel, &query.select);
+    };
+    let out = sel
+        .iter()
+        .map(|&i| std::mem::replace(&mut rows[i], Tuple::new(Vec::new())))
+        .collect();
+    Table::new(schema, out).map_err(|e| QueryError::Semantic(e.to_string()))
 }
 
-/// Evaluate GROUP BY + aggregates: returns the grouped schema and rows in
-/// select-list order. Every plain select column must appear in GROUP BY
-/// (standard SQL restriction); with no GROUP BY, the whole input is one
-/// group.
+/// Build the output of an ungrouped query: the selected catalog rows,
+/// cloned whole for `SELECT *` or projected onto the select list.
+fn materialize(table: &Table, sel: &[usize], select: &[SelectItem]) -> Result<Table, QueryError> {
+    let (schema, rows) = (table.schema(), table.rows());
+    if select.is_empty() {
+        let out = sel.iter().map(|&i| rows[i].clone()).collect();
+        return Table::new(schema.clone(), out).map_err(|e| QueryError::Semantic(e.to_string()));
+    }
+    let mut indices = Vec::with_capacity(select.len());
+    let mut out_cols = Vec::with_capacity(select.len());
+    for item in select {
+        let SelectItem::Column { name, .. } = item else {
+            unreachable!("aggregates imply grouping");
+        };
+        let idx = schema
+            .index_of(name)
+            .ok_or_else(|| QueryError::NoSuchColumn(name.clone()))?;
+        indices.push(idx);
+        out_cols.push(skyline_relation::Column::new(
+            item.output_name(),
+            schema.column(idx).ty,
+        ));
+    }
+    let out_schema =
+        skyline_relation::Schema::new(out_cols).map_err(|e| QueryError::Semantic(e.to_string()))?;
+    let out = sel.iter().map(|&i| rows[i].project(&indices)).collect();
+    Table::new(out_schema, out).map_err(|e| QueryError::Semantic(e.to_string()))
+}
+
+/// Evaluate GROUP BY + aggregates over the selected rows: returns the
+/// grouped schema and rows in select-list order. Every plain select
+/// column must appear in GROUP BY (standard SQL restriction); with no
+/// GROUP BY, the whole selection is one group.
 fn apply_group_by(
     schema: &skyline_relation::Schema,
-    rows: Vec<Tuple>,
+    rows: &[Tuple],
+    sel: &[usize],
     query: &Query,
 ) -> Result<(skyline_relation::Schema, Vec<Tuple>), QueryError> {
     use skyline_relation::{Column, ColumnType, Schema};
@@ -227,10 +253,10 @@ fn apply_group_by(
     // partition rows into groups (insertion order preserved)
     let mut order: Vec<String> = Vec::new();
     let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, row) in rows.iter().enumerate() {
+    for &i in sel {
         let key = group_idx
             .iter()
-            .map(|&g| row.get(g).to_string())
+            .map(|&g| rows[i].get(g).to_string())
             .collect::<Vec<_>>()
             .join("\u{1}");
         groups
@@ -241,7 +267,7 @@ fn apply_group_by(
             })
             .push(i);
     }
-    if query.group_by.is_empty() && !rows.is_empty() {
+    if query.group_by.is_empty() && !sel.is_empty() {
         // single implicit group
         debug_assert_eq!(groups.len(), 1);
     }
@@ -309,12 +335,15 @@ fn apply_group_by(
     Ok((out_schema, out_rows))
 }
 
+/// Skyline of the selected rows: returns the surviving subset of `sel`
+/// (which must be ascending), ascending.
 fn apply_skyline(
-    rows: Vec<Tuple>,
+    rows: &[Tuple],
+    sel: &[usize],
     schema: &skyline_relation::Schema,
     clause: &crate::ast::SkylineClause,
     opts: &ExecOptions,
-) -> Result<Vec<Tuple>, QueryError> {
+) -> Result<Vec<usize>, QueryError> {
     let mut crit: Vec<(usize, bool)> = Vec::new(); // (col idx, is_min)
     let mut diff: Vec<usize> = Vec::new();
     for item in &clause.items {
@@ -332,14 +361,33 @@ fn apply_skyline(
             "SKYLINE OF needs at least one MIN/MAX criterion".into(),
         ));
     }
-    // oriented key matrix
+    // Large relations push down to the external paged engine (a no-op
+    // fall-through when values aren't representable there or the chosen
+    // algorithm has no external form for this query shape).
+    if sel.len() >= opts.external_threshold {
+        if let Some(keep) =
+            crate::pushdown::external_skyline_with(schema, rows, sel, &crit, &diff, opts)?
+        {
+            return Ok(keep);
+        }
+    }
+
+    // The in-memory working set — the oriented matrix — charges the
+    // quota pool before it is built, for as long as the filter runs.
     let d = crit.len();
+    let _lease = match &opts.pool {
+        Some(pool) => Some(
+            pool.reserve(matrix_pages(sel.len(), d))
+                .map_err(|e| QueryError::from_exec(ExecError::Buffer(e)))?,
+        ),
+        None => None,
+    };
     let cancel = opts.cancel.as_ref();
-    let mut data = Vec::with_capacity(rows.len() * d);
-    for (rowno, row) in rows.iter().enumerate() {
+    let mut data = Vec::with_capacity(sel.len() * d);
+    for (rowno, &i) in sel.iter().enumerate() {
         poll(cancel, rowno as u64).map_err(QueryError::from_exec)?;
         for &(idx, is_min) in &crit {
-            let v = row.get(idx).as_f64().ok_or_else(|| {
+            let v = rows[i].get(idx).as_f64().ok_or_else(|| {
                 QueryError::Semantic(format!(
                     "row {rowno}: skyline column {} is not numeric",
                     schema.column(idx).name
@@ -348,40 +396,21 @@ fn apply_skyline(
             data.push(if is_min { -v } else { v });
         }
     }
-    // Large relations push down to the external paged engine (a no-op
-    // fall-through when values aren't representable there or the chosen
-    // algorithm has no external form for this query shape).
-    if rows.len() >= opts.external_threshold {
-        if let Some(keep) =
-            crate::pushdown::external_skyline_with(schema, &rows, &crit, &diff, opts)?
-        {
-            return Ok(keep.into_iter().map(|i| rows[i].clone()).collect());
-        }
-    }
-
-    // The in-memory working set — the oriented matrix — charges the
-    // quota pool for as long as the filter runs.
-    let _lease = match &opts.pool {
-        Some(pool) => Some(
-            pool.reserve(matrix_pages(rows.len(), d))
-                .map_err(|e| QueryError::from_exec(ExecError::Buffer(e)))?,
-        ),
-        None => None,
-    };
     let keys = KeyMatrix::new(d, data);
 
+    // Positions into `sel` (= rows of `keys`).
     let mut keep: Vec<usize> = if diff.is_empty() {
         mem_skyline(&keys, opts)?
     } else {
         // group rows by the rendered diff key, skyline per group
         let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
+        for (pos, &i) in sel.iter().enumerate() {
             let gk = diff
                 .iter()
-                .map(|&idx| row.get(idx).to_string())
+                .map(|&idx| rows[i].get(idx).to_string())
                 .collect::<Vec<_>>()
                 .join("\u{1}");
-            groups.entry(gk).or_default().push(i);
+            groups.entry(gk).or_default().push(pos);
         }
         let mut keep = Vec::new();
         for members in groups.values() {
@@ -391,7 +420,7 @@ fn apply_skyline(
         keep
     };
     keep.sort_unstable();
-    Ok(keep.into_iter().map(|i| rows[i].clone()).collect())
+    Ok(keep.into_iter().map(|pos| sel[pos]).collect())
 }
 
 /// Dispatch the in-memory skyline to the contract's algorithm. `Auto`

@@ -2,10 +2,12 @@
 //!
 //! The in-memory executor in [`crate::plan`] is right for small and
 //! medium tables; past a threshold the planner hands the skyline to the
-//! external SFS operator instead: rows are encoded into fixed-width
-//! records (criteria + diff attributes as i32, the originating row index
-//! in the payload), loaded into a heap file, entropy-presorted with the
-//! external sort, and filtered through a window sized by the §6
+//! external SFS operator instead: the selected rows are encoded in one
+//! pass into one flat buffer of fixed-width records (criteria + diff
+//! attributes as i32, the originating row index in the payload) with
+//! the entropy statistics folded into the same loop
+//! ([`encode_selection`]), loaded into a heap file, entropy-presorted
+//! with the external sort, and filtered through a window sized by the §6
 //! cardinality estimator. This is the integration the paper argues for —
 //! the skyline as *an operator inside the engine*, not an application
 //! post-pass.
@@ -28,16 +30,14 @@
 use crate::error::QueryError;
 use crate::options::{ExecOptions, SkylineAlgo};
 use skyline_core::cardinality::recommend_window_pages;
-use skyline_core::planner::{
-    entropy_stats_of_records, load_heap, parallel_skyline_pipeline, presort, sfs_filter,
-};
+use skyline_core::planner::{load_heap, parallel_skyline_pipeline, presort, sfs_filter};
 use skyline_core::strata::strata_external;
 use skyline_core::{
     Criterion, Direction, EntropyScore, SfsConfig, SkylineMetrics, SkylineSpec, SortOrder,
 };
 use skyline_exec::cancel::poll;
 use skyline_exec::{CancelToken, ExecError, Operator};
-use skyline_relation::{RecordLayout, Schema, Tuple};
+use skyline_relation::{ColumnStats, RecordLayout, Schema, TableStats, Tuple};
 use skyline_storage::{BufferLease, Disk, HeapFile, MemDisk, StorageError};
 use std::sync::Arc;
 
@@ -70,18 +70,21 @@ fn reserve(opts: &ExecOptions, pages: usize) -> Result<Option<BufferLease>, Quer
 /// when the rows cannot be pushed down (criterion values outside i32),
 /// in which case the caller should run the in-memory path.
 ///
+/// `sel` is the ascending selection of `rows` the skyline ranges over;
 /// `crit` is `(column index, is_min)` per MIN/MAX criterion; `diff` is
-/// the DIFF column indices. Returned row indices are ascending.
+/// the DIFF column indices. Returned row indices are a subset of `sel`,
+/// ascending.
 ///
 /// # Errors
 /// Everything [`external_skyline_with`] reports.
 pub fn external_skyline_indices(
     schema: &Schema,
     rows: &[Tuple],
+    sel: &[usize],
     crit: &[(usize, bool)],
     diff: &[usize],
 ) -> Result<Option<Vec<usize>>, QueryError> {
-    external_skyline_with(schema, rows, crit, diff, &ExecOptions::default())
+    external_skyline_with(schema, rows, sel, crit, diff, &ExecOptions::default())
 }
 
 /// [`external_skyline_indices`] under an execution contract: algorithm
@@ -97,6 +100,7 @@ pub fn external_skyline_indices(
 pub fn external_skyline_with(
     schema: &Schema,
     rows: &[Tuple],
+    sel: &[usize],
     crit: &[(usize, bool)],
     diff: &[usize],
     opts: &ExecOptions,
@@ -110,40 +114,87 @@ pub fn external_skyline_with(
         }
         _ => {}
     }
+    let Some(encoded) = encode_selection(schema, rows, sel, crit, diff, opts.cancel.as_ref())?
+    else {
+        return Ok(None);
+    };
+    let EncodedSelection {
+        layout,
+        spec,
+        records,
+        stats,
+    } = encoded;
+
+    let disk: Arc<dyn Disk> = match &opts.disk {
+        Some(d) => Arc::clone(d),
+        None => MemDisk::shared(),
+    };
+    let mut heap = load_heap(
+        Arc::clone(&disk),
+        layout.record_size(),
+        records.chunks_exact(layout.record_size()),
+    )
+    .map_err(storage_err)?;
+    drop(records);
+    // Temp-marked: the input's pages are reclaimed when the last handle
+    // drops, whichever path (success or unwind) gets there.
+    heap.mark_temp();
+    let heap = Arc::new(heap);
+    let stats = EntropyScore::new(stats);
+
+    let k = crit.len();
+    let window_pages = recommend_window_pages(sel.len(), k.max(1), 4 * k.max(1));
+    let mut keep = match opts.algo {
+        SkylineAlgo::Bnl => bnl_path(heap, layout, spec, window_pages, disk, opts)?,
+        SkylineAlgo::Parallel => {
+            parallel_path(heap, layout, spec, stats, window_pages, disk, opts)?
+        }
+        SkylineAlgo::Strata => strata_path(heap, layout, spec, stats, window_pages, disk, opts)?,
+        // Auto and Sfs share the paper's presort+filter; DivideAndConquer
+        // returned above.
+        _ => sfs_path(heap, layout, spec, stats, window_pages, disk, opts)?,
+    };
+    keep.sort_unstable();
+    Ok(Some(keep))
+}
+
+/// A selection encoded for the external engine in one pass.
+#[derive(Debug, Clone)]
+pub struct EncodedSelection {
+    /// Record layout: the criteria as `i32`, then the DIFF attributes,
+    /// then the originating row index as an 8-byte payload.
+    pub layout: RecordLayout,
+    /// The skyline over that layout: criterion `j` is attribute `j`,
+    /// the DIFF attributes follow.
+    pub spec: SkylineSpec,
+    /// Every record back to back, in selection order
+    /// (`layout.record_size()` bytes each).
+    pub records: Vec<u8>,
+    /// Oriented min/max statistics of the criteria, bit-identical to
+    /// `planner::entropy_stats_of_records` over `records`.
+    pub stats: TableStats,
+}
+
+/// Encode the selected rows into one flat record buffer and fold the
+/// entropy statistics in the same loop. Returns `Ok(None)` when a value
+/// cannot be pushed down: a criterion that is not an integer in the
+/// `i32` range, or a DIFF value that is not an `i32` integer.
+///
+/// # Errors
+/// [`QueryError::Semantic`] for a non-numeric criterion value (`row` in
+/// the message is the position in `sel`), [`QueryError::Cancelled`]
+/// when the token trips.
+pub fn encode_selection(
+    schema: &Schema,
+    rows: &[Tuple],
+    sel: &[usize],
+    crit: &[(usize, bool)],
+    diff: &[usize],
+    cancel: Option<&CancelToken>,
+) -> Result<Option<EncodedSelection>, QueryError> {
     let k = crit.len();
     let m = diff.len();
     let layout = RecordLayout::new(k + m, 8); // payload: row index as u64
-
-    // encode: oriented values must fit i32 exactly
-    let cancel = opts.cancel.as_ref();
-    let mut records = Vec::with_capacity(rows.len());
-    let mut attrs = vec![0i32; k + m];
-    for (rowno, row) in rows.iter().enumerate() {
-        check_cancel(cancel, rowno as u64)?;
-        for (slot, &(idx, _)) in crit.iter().enumerate() {
-            let v = row.get(idx).as_f64().ok_or_else(|| {
-                QueryError::Semantic(format!(
-                    "row {rowno}: skyline column {} is not numeric",
-                    schema.column(idx).name
-                ))
-            })?;
-            if v.fract() != 0.0 || v < f64::from(i32::MIN) || v > f64::from(i32::MAX) {
-                return Ok(None); // not representable: fall back
-            }
-            attrs[slot] = v as i32;
-        }
-        for (slot, &idx) in diff.iter().enumerate() {
-            let Some(v) = row.get(idx).as_i64() else {
-                return Ok(None); // non-integer diff key: fall back
-            };
-            let Ok(v) = i32::try_from(v) else {
-                return Ok(None);
-            };
-            attrs[k + slot] = v;
-        }
-        records.push(layout.encode(&attrs, &(rowno as u64).to_le_bytes()));
-    }
-
     let spec = SkylineSpec::new(
         crit.iter()
             .enumerate()
@@ -159,36 +210,46 @@ pub fn external_skyline_with(
     )
     .with_diff((k..k + m).collect());
 
-    let disk: Arc<dyn Disk> = match &opts.disk {
-        Some(d) => Arc::clone(d),
-        None => MemDisk::shared(),
-    };
-    let mut heap = load_heap(
-        Arc::clone(&disk),
-        layout.record_size(),
-        records.iter().map(Vec::as_slice),
-    )
-    .map_err(storage_err)?;
-    // Temp-marked: the input's pages are reclaimed when the last handle
-    // drops, whichever path (success or unwind) gets there.
-    heap.mark_temp();
-    let heap = Arc::new(heap);
-    let stats = entropy_stats_of_records(&layout, &spec, records.iter().map(Vec::as_slice));
-    drop(records);
-
-    let window_pages = recommend_window_pages(rows.len(), k.max(1), 4 * k.max(1));
-    let mut keep = match opts.algo {
-        SkylineAlgo::Bnl => bnl_path(heap, layout, spec, window_pages, disk, opts)?,
-        SkylineAlgo::Parallel => {
-            parallel_path(heap, layout, spec, stats, window_pages, disk, opts)?
+    // encode: oriented values must fit i32 exactly
+    let mut records = Vec::with_capacity(sel.len() * layout.record_size());
+    let mut cols = vec![ColumnStats::empty(); k];
+    for (rowno, &i) in sel.iter().enumerate() {
+        check_cancel(cancel, rowno as u64)?;
+        let row = &rows[i];
+        for ((c, col), &(idx, _)) in spec.criteria.iter().zip(&mut cols).zip(crit) {
+            let v = row.get(idx).as_f64().ok_or_else(|| {
+                QueryError::Semantic(format!(
+                    "row {rowno}: skyline column {} is not numeric",
+                    schema.column(idx).name
+                ))
+            })?;
+            if v.fract() != 0.0 || v < f64::from(i32::MIN) || v > f64::from(i32::MAX) {
+                return Ok(None); // not representable: fall back
+            }
+            let a = v as i32;
+            records.extend_from_slice(&a.to_le_bytes());
+            // Oriented from the encoded `i32`, as `oriented_stats` reads
+            // it back from the record, so the statistics stay
+            // bit-identical to a separate pass (`-0.0` encodes as `0`).
+            col.observe(c.orient(f64::from(a)));
         }
-        SkylineAlgo::Strata => strata_path(heap, layout, spec, stats, window_pages, disk, opts)?,
-        // Auto and Sfs share the paper's presort+filter; DivideAndConquer
-        // returned above.
-        _ => sfs_path(heap, layout, spec, stats, window_pages, disk, opts)?,
-    };
-    keep.sort_unstable();
-    Ok(Some(keep))
+        for &idx in diff {
+            let Some(v) = row.get(idx).as_i64() else {
+                return Ok(None); // non-integer diff key: fall back
+            };
+            let Ok(v) = i32::try_from(v) else {
+                return Ok(None);
+            };
+            records.extend_from_slice(&v.to_le_bytes());
+        }
+        records.extend_from_slice(&(i as u64).to_le_bytes());
+    }
+    Ok(Some(EncodedSelection {
+        layout,
+        spec,
+        records,
+        stats: TableStats::from_columns(cols),
+    }))
 }
 
 /// Entropy presort (sort arena charged while sorting) then the SFS
@@ -391,6 +452,10 @@ mod tests {
         (schema, rows)
     }
 
+    fn all(rows: &[Tuple]) -> Vec<usize> {
+        (0..rows.len()).collect()
+    }
+
     fn in_memory(rows: &[Tuple], crit: &[(usize, bool)], diff: &[usize]) -> Vec<usize> {
         use skyline_core::KeyMatrix;
         let d = crit.len();
@@ -436,11 +501,27 @@ mod tests {
             (vec![(0, true), (1, false)], vec![]),
             (vec![(0, false), (1, true)], vec![2usize]),
         ] {
-            let ext = external_skyline_indices(&schema, &rows, &crit, &diff)
+            let ext = external_skyline_indices(&schema, &rows, &all(&rows), &crit, &diff)
                 .unwrap()
                 .expect("pushdown applies");
             assert_eq!(ext, in_memory(&rows, &crit, &diff), "{crit:?} {diff:?}");
         }
+    }
+
+    #[test]
+    fn a_sub_selection_returns_its_row_indices() {
+        let (schema, rows) = random_table(3_000);
+        let crit = vec![(0usize, false), (1usize, true)];
+        let sel: Vec<usize> = (0..rows.len()).filter(|i| i % 3 != 1).collect();
+        let picked: Vec<Tuple> = sel.iter().map(|&i| rows[i].clone()).collect();
+        let want: Vec<usize> = in_memory(&picked, &crit, &[])
+            .into_iter()
+            .map(|pos| sel[pos])
+            .collect();
+        let got = external_skyline_indices(&schema, &rows, &sel, &crit, &[])
+            .unwrap()
+            .expect("pushdown applies");
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -456,7 +537,7 @@ mod tests {
             SkylineAlgo::Strata,
         ] {
             let opts = ExecOptions::default().with_algo(algo).with_threads(2);
-            let ext = external_skyline_with(&schema, &rows, &crit, &[], &opts)
+            let ext = external_skyline_with(&schema, &rows, &all(&rows), &crit, &[], &opts)
                 .unwrap()
                 .expect("pushdown applies");
             assert_eq!(ext, oracle, "{algo:?}");
@@ -468,13 +549,15 @@ mod tests {
         let (schema, rows) = random_table(100);
         let crit = vec![(0usize, false), (1usize, true)];
         let opts = ExecOptions::default().with_algo(SkylineAlgo::DivideAndConquer);
-        assert!(external_skyline_with(&schema, &rows, &crit, &[], &opts)
-            .unwrap()
-            .is_none());
+        assert!(
+            external_skyline_with(&schema, &rows, &all(&rows), &crit, &[], &opts)
+                .unwrap()
+                .is_none()
+        );
         for algo in [SkylineAlgo::Bnl, SkylineAlgo::Parallel, SkylineAlgo::Strata] {
             let opts = ExecOptions::default().with_algo(algo);
             assert!(
-                external_skyline_with(&schema, &rows, &crit, &[2], &opts)
+                external_skyline_with(&schema, &rows, &all(&rows), &crit, &[2], &opts)
                     .unwrap()
                     .is_none(),
                 "{algo:?} has no external DIFF form"
@@ -494,7 +577,8 @@ mod tests {
             .with_algo(SkylineAlgo::Sfs)
             .with_pool(pool.clone())
             .with_disk(disk.clone());
-        let err = external_skyline_with(&schema, &rows, &crit, &[], &opts).unwrap_err();
+        let err =
+            external_skyline_with(&schema, &rows, &all(&rows), &crit, &[], &opts).unwrap_err();
         assert!(matches!(err, QueryError::QuotaExceeded { .. }), "{err}");
         assert_eq!(pool.used(), 0, "quota refusal must release every lease");
         assert_eq!(disk.allocated_pages(), 0, "no heap pages may leak");
@@ -506,7 +590,8 @@ mod tests {
             .with_algo(SkylineAlgo::Sfs)
             .with_cancel(token)
             .with_disk(disk.clone());
-        let err = external_skyline_with(&schema, &rows, &crit, &[], &opts).unwrap_err();
+        let err =
+            external_skyline_with(&schema, &rows, &all(&rows), &crit, &[], &opts).unwrap_err();
         assert!(matches!(err, QueryError::Cancelled { .. }), "{err}");
         assert_eq!(disk.allocated_pages(), 0, "no heap pages may leak");
     }
@@ -515,21 +600,23 @@ mod tests {
     fn falls_back_on_non_integer_values() {
         let schema = Schema::of(&[("x", ColumnType::Float)]);
         let rows = vec![tuple![1.5], tuple![2.5]];
-        let out = external_skyline_indices(&schema, &rows, &[(0, false)], &[]).unwrap();
+        let out =
+            external_skyline_indices(&schema, &rows, &all(&rows), &[(0, false)], &[]).unwrap();
         assert!(out.is_none(), "fractional values cannot push down");
         let schema = Schema::of(&[("x", ColumnType::Int)]);
         let rows = vec![
             Tuple::new(vec![Value::Int(i64::from(i32::MAX) + 1)]),
             Tuple::new(vec![Value::Int(0)]),
         ];
-        let out = external_skyline_indices(&schema, &rows, &[(0, false)], &[]).unwrap();
+        let out =
+            external_skyline_indices(&schema, &rows, &all(&rows), &[(0, false)], &[]).unwrap();
         assert!(out.is_none(), "out-of-range values cannot push down");
     }
 
     #[test]
     fn empty_rows_ok() {
         let (schema, _) = random_table(0);
-        let out = external_skyline_indices(&schema, &[], &[(0, false)], &[])
+        let out = external_skyline_indices(&schema, &[], &[], &[(0, false)], &[])
             .unwrap()
             .unwrap();
         assert!(out.is_empty());

@@ -504,7 +504,14 @@ fn stream_batches(
     };
     let batch_rows = shared.cfg.batch_rows.max(1);
     let mut sent = 0u64;
-    for chunk in rows.chunks(batch_rows) {
+    // Rows move into their batches; none is copied on the way out.
+    let mut rows = rows.into_iter();
+    loop {
+        let chunk: Vec<Tuple> = rows.by_ref().take(batch_rows).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        let len = chunk.len() as u64;
         if job.token.is_cancelled() {
             let err = ServerError::Query(QueryError::Cancelled {
                 records_processed: sent,
@@ -512,11 +519,8 @@ fn stream_batches(
             return (Verdict::Cancelled, Err(err));
         }
         let grace_until = Instant::now() + shared.cfg.stream_grace;
-        match job
-            .results
-            .push_deadline(Msg::Rows(chunk.to_vec()), grace_until)
-        {
-            Ok(()) => sent += chunk.len() as u64,
+        match job.results.push_deadline(Msg::Rows(chunk), grace_until) {
+            Ok(()) => sent += len,
             // client gone; the verdict still lands in the stats
             Err(PushTimeout::Closed(_)) => return (Verdict::Cancelled, Err(ServerError::Stalled)),
             Err(PushTimeout::TimedOut(_)) => {
